@@ -1,6 +1,7 @@
 """Skew Schur Q-function decompositions and multiplicity-freeness tests."""
 
 from ._backend import backend_name
+from ._kernel_py import ShapeTooLarge
 from .partitions import (
     NotContained,
     NotSkew,
@@ -54,6 +55,7 @@ __all__ = [
     "NotBasic",
     "NotContained",
     "NotSkew",
+    "ShapeTooLarge",
     "Tableau",
     "TooManyCorners",
     "add_column",

@@ -5,7 +5,26 @@ is missing or SCHURQ_PURE is set.  Shapes arrive as row interval lists
 [(start_col, end_col), ...] for rows 1..R of an anchored skew diagram.
 """
 
+import sys
+
 from .tableaux import is_amenable_word, is_k_amenable_word
+
+# stack frames left free for the callers of a search
+_CALLER_FRAMES = 200
+
+
+class ShapeTooLarge(ValueError):
+    """The shape has more boxes than a search that recurses once per box
+    can reach under the interpreter's recursion limit."""
+
+
+def _check_size(n):
+    limit = sys.getrecursionlimit() - _CALLER_FRAMES
+    if n > limit:
+        raise ShapeTooLarge(
+            f"shape has {n} boxes; the pure-Python search recurses once per "
+            f"box, and the interpreter's recursion limit leaves room for "
+            f"{limit}")
 
 
 def _positions(rows):
@@ -33,6 +52,7 @@ def iter_amenable_words(rows, nu=None):
     nrows = len(rows)
     pos, right, above = _positions(rows)
     n = len(pos)
+    _check_size(n)
     rem = None
     if nu is not None:
         nu = tuple(nu)
@@ -127,6 +147,7 @@ def iter_bounded_words(rows, max_value):
     rows = list(rows)
     pos, right, above = _positions(rows)
     n = len(pos)
+    _check_size(n)
     if n == 0:
         yield ()
         return
@@ -154,6 +175,7 @@ def count_bounded(rows, max_value):
     rows = list(rows)
     pos, right, above = _positions(rows)
     n = len(pos)
+    _check_size(n)
     if n == 0:
         return 1
     w = [0] * n

@@ -136,6 +136,9 @@ def cmd_render(args):
 def cmd_verify(args):
     report = run_suite(args.suite, args.max_size)
     print(report.summary())
+    if report.case_counts:
+        print("  cases: " + ", ".join(f"{tag} {n}" for tag, n
+                                      in sorted(report.case_counts.items())))
     for failure in report.failures[:20]:
         print(f"  disagreement: {failure}")
     return 0 if report.ok else 1

@@ -7,7 +7,7 @@ order.  Words are tuples of letter codes.
 
 from collections import Counter
 
-from .partitions import components, row_intervals, skew_diagram, strip_last_box
+from .partitions import row_intervals, skew_diagram
 
 
 def letter(value, marked=False):
@@ -194,16 +194,28 @@ def tvalue_boxes(t, i):
     return frozenset(b for b, c in t.entries.items() if letter_value(c) == i)
 
 
+def _strip_end(boxes):
+    """Last box of a broken border strip of one value: the lowest box in
+    its leftmost column.
+
+    Two components of a value's strip never share a column (columns have
+    no gaps, so boxes of one value in one column touch).  So the leftmost
+    column lies in the leftmost component, and the last box of that
+    component, the one with no box below it or to its left, is the lowest
+    box of that column.
+    """
+    return min(boxes, key=lambda box: (box[1], -box[0]))
+
+
 def fitting(t, i):
     """Whether the last box of T^(i) holds an unmarked i.
 
-    The last box of a broken border strip is the last box of its leftmost
-    component.  An empty T^(i) is vacuously fitting.
+    An empty T^(i) is vacuously fitting.
     """
     boxes = tvalue_boxes(t, i)
     if not boxes:
         return True
-    return t.entries[strip_last_box(boxes)] == letter(i)
+    return t.entries[_strip_end(boxes)] == letter(i)
 
 
 def _has_injection(sources, targets, allowed):
@@ -223,57 +235,52 @@ def _has_injection(sources, targets, allowed):
     return all(augment(i, set()) for i in range(len(sources)))
 
 
+def _upper_right(boxes, x, y):
+    # how many of the boxes lie weakly above and weakly to the right
+    n = 0
+    for u, v in boxes:
+        if u <= x and v >= y:
+            n += 1
+    return n
+
+
 def is_k_amenable_checklist(t, k):
     """Box-level k-amenability test, equivalent to the word conditions."""
     if k < 2:
         raise ValueError("k-amenability is defined for k >= 2")
-    entries = t.entries
-    uk, marked_k = letter(k), letter(k, True)
-    uk1, marked_k1 = letter(k - 1), letter(k - 1, True)
-    n_uk = n_mk = n_uk1 = n_mk1 = 0
-    for c in entries.values():
-        if c == uk:
-            n_uk += 1
-        elif c == marked_k:
-            n_mk += 1
-        elif c == uk1:
-            n_uk1 += 1
-        elif c == marked_k1:
-            n_mk1 += 1
-    if n_uk + n_mk == 0 and n_uk1 + n_mk1 == 0:
+    # the boxes holding (k-1)', k-1, k' and k, in one pass
+    groups = ([], [], [], [])
+    base = 2 * k - 3
+    for box, c in t.entries.items():
+        c -= base
+        if 0 <= c <= 3:
+            groups[c].append(box)
+    am, a, bm, b = groups
+    if not (a or am or b or bm):
         return True
-    if n_uk1 <= n_uk:
+    if len(a) <= len(b):
         return False
-
-    def upper_right(x, y, code):
-        # boxes weakly above and weakly to the right holding the letter
-        return sum(1 for (u, v), c in entries.items()
-                   if u <= x and v >= y and c == code)
-
-    for (x, y), c in entries.items():
-        if c == uk and upper_right(x, y, uk1) < upper_right(x, y, uk):
+    # fitting: the last box of each strip holds an unmarked letter
+    if am and _strip_end(a + am) in am:
+        return False
+    if bm and (not b or _strip_end(b + bm) in bm):
+        return False
+    for x, y in b:
+        if _upper_right(a, x, y) < _upper_right(b, x, y):
             return False
-    bboxes = sorted(b for b, c in entries.items()
-                    if c == marked_k
-                    and entries.get((b[0] - 1, b[1] - 1)) != marked_k1)
-    for (x, y) in bboxes:
-        if upper_right(x, y, uk1) <= upper_right(x, y, uk):
+    sources = sorted((x, y) for x, y in bm if (x - 1, y - 1) not in am)
+    for x, y in sources:
+        if _upper_right(a, x, y) <= _upper_right(b, x, y):
             return False
-    d = len(bboxes) + n_uk - n_uk1 + 1
+    d = len(sources) + len(b) - len(a) + 1
     if d > 0:
-        sources = bboxes[:d]
-        targets = [b for b, c in entries.items()
-                   if c == marked_k1
-                   and entries.get((b[0] + 1, b[1] + 1)) != marked_k]
-        blocked = {x for (x, _), c in entries.items() if c in (uk1, marked_k)}
+        targets = [(x, y) for x, y in am if (x + 1, y + 1) not in bm]
+        blocked = {x for x, _ in a} | {x for x, _ in bm}
+
         def allowed(src, tgt):
             return not any(r in blocked for r in range(tgt[0] + 1, src[0]))
-        if not _has_injection(sources, targets, allowed):
+        if not _has_injection(sources[:d], targets, allowed):
             return False
-    if not fitting(t, k - 1):
-        return False
-    if n_uk + n_mk > 0 and not fitting(t, k):
-        return False
     return True
 
 

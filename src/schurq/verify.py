@@ -48,6 +48,7 @@ class Report:
     checked: int = 0
     failures: list = field(default_factory=list)
     elapsed: float = 0.0
+    case_counts: dict = field(default_factory=dict)
 
     @property
     def ok(self):
@@ -75,10 +76,29 @@ def _timed(fn):
     return run
 
 
+def _decompose_memo():
+    """decompose behind a dict that lives as long as one suite run.
+
+    The key is (lam, mu) exactly as passed, never a canonical form of the
+    shape, so a suite comparing two shapes still computes both; each call
+    gets its own copy of the expansion.
+    """
+    memo = {}
+
+    def cached(lam, mu=()):
+        key = tuple(lam), tuple(mu)
+        if key not in memo:
+            memo[key] = decompose(lam, mu)
+        return dict(memo[key])
+
+    return cached
+
+
 @_timed
 def suite_ot(max_boxes=7):
     """Expansions survive reflection and rotation of the diagram."""
     report = Report("ot")
+    decompose = _decompose_memo()
     for lam, mu in basic_pairs_by_boxes(max_boxes):
         base = decompose(lam, mu)
         d = skew_diagram(lam, mu)
@@ -108,10 +128,10 @@ def suite_symmetry(max_weight=9):
     return report
 
 
-def _strip_prefix_terms(lam, mu, nu_prefix):
-    """Terms of Q_{lam/mu} whose content starts with nu_prefix, tail-keyed."""
+def _strip_prefix_terms(terms, nu_prefix):
+    """The terms whose content starts with nu_prefix, tail-keyed."""
     k = len(nu_prefix)
-    return {delta[k:]: f for delta, f in decompose(lam, mu).items()
+    return {delta[k:]: f for delta, f in terms.items()
             if delta[:k] == nu_prefix}
 
 
@@ -119,6 +139,7 @@ def _strip_prefix_terms(lam, mu, nu_prefix):
 def suite_parts(max_boxes=7):
     """The truncation identity and the three insertion inequalities."""
     report = Report("parts")
+    decompose = _decompose_memo()
     for lam, mu in basic_pairs_by_boxes(max_boxes):
         base = decompose(lam, mu)
         d = skew_diagram(lam, mu)
@@ -136,7 +157,7 @@ def suite_parts(max_boxes=7):
                 continue
             scaled = {gamma: factor * f
                       for gamma, f in decompose(alpha, beta).items()}
-            if scaled != _strip_prefix_terms(lam, mu, nu[:k - 1]):
+            if scaled != _strip_prefix_terms(base, nu[:k - 1]):
                 report.failures.append(("parts", lam, mu, k))
         for a in range(2, len(mu) + 3):
             report.checked += 1
@@ -171,93 +192,127 @@ def suite_parts(max_boxes=7):
 # neighbourhood pattern therefore checks every tableau, all values, all k.
 _SMALL, _AM, _A, _BM, _B, _BIG = range(6)
 
+# _CHOICES[left][up]: the states other than _SMALL that a box may take next
+# to a left and an upper neighbour in those states (_SMALL where there is
+# none): rows and columns weakly increase, and since they have no gaps a
+# marked k-1 or k repeats in a row, or an unmarked one in a column, only
+# next to itself.
+_CHOICES = [[tuple(s for s in range(max(left, up, _AM), _BIG + 1)
+                   if not (s in (_AM, _BM) and s == left)
+                   and not (s in (_A, _B) and s == up))
+             for up in range(_BIG + 1)] for left in range(_BIG + 1)]
+
+
+def _reading_boxes(rows):
+    """The boxes of the shape in reading order: rows bottom to top, each
+    left to right."""
+    return [(x, y) for x, (lo, hi) in reversed(list(enumerate(rows, 1)))
+            for y in range(lo, hi + 1)]
+
 
 def _neighbourhood_patterns(rows):
-    """All six-state box labelings that some tableau induces at some k.
+    """All six-state box labelings that some tableau induces at some k,
+    each materialized as the letter codes of one tableau.
 
-    Yields one live dict, mutated between yields: consume it immediately.
+    Yields (codes, k) with codes one live list, indexed like
+    _reading_boxes(rows) and mutated between yields: consume it at once.
+    The boxes below k-1 (_SMALL) are chosen first, as an order ideal; they
+    fix k and get values by their diagonal depth, marked when the box below
+    has the same value.  The other boxes then get k-1, k or a fresh larger
+    unmarked value each, in row-major order, so each code is written once
+    as the pattern recurses.
     """
-    boxes = [(x, y) for x, (lo, hi) in enumerate(rows, 1)
-             for y in range(lo, hi + 1)]
-    state = {}
-    marked_rows = {_AM: set(), _BM: set()}
-    plain_cols = {_A: set(), _B: set()}
+    boxes = _reading_boxes(rows)
+    n = len(boxes)
+    where = {b: p for p, b in enumerate(boxes)}
+    order = [where[b] for b in sorted(boxes)]  # row-major: neighbours first
+    # position n stands for a box outside the shape
+    left = [where.get((x, y - 1), n) for x, y in boxes]
+    up = [where.get((x - 1, y), n) for x, y in boxes]
+    up_left = [where.get((x - 1, y - 1), n) for x, y in boxes]
+    down = [where.get((x + 1, y), n) for x, y in boxes]
+    state = [_SMALL] * (n + 1)
+    codes = [0] * n
 
-    def fill(i):
-        if i == len(boxes):
-            yield state
+    def fill(j, big):
+        # rest, base and out belong to the current ideal: the positions to
+        # fill, the code of each state other than _BIG, what to yield
+        p = rest[j]
+        choices = _CHOICES[state[left[p]]][state[up[p]]]
+        if j + 1 == len(rest):  # no later box reads this one's state
+            for s in choices:
+                codes[p] = big + 2 if s == _BIG else base[s]
+                yield out
             return
-        x, y = boxes[i]
-        floor = max(state.get((x, y - 1), 0), state.get((x - 1, y), 0))
-        for s in range(floor, _BIG + 1):
-            if s in marked_rows and x in marked_rows[s]:
-                continue
-            if s in plain_cols and y in plain_cols[s]:
-                continue
-            state[(x, y)] = s
-            if s in marked_rows:
-                marked_rows[s].add(x)
-            if s in plain_cols:
-                plain_cols[s].add(y)
-            yield from fill(i + 1)
-            if s in marked_rows:
-                marked_rows[s].discard(x)
-            if s in plain_cols:
-                plain_cols[s].discard(y)
-        state.pop((x, y), None)
+        for s in choices:
+            state[p] = s
+            if s == _BIG:
+                codes[p] = big + 2
+                yield from fill(j + 1, big + 2)
+            else:
+                codes[p] = base[s]
+                yield from fill(j + 1, big)
 
-    yield from fill(0)
+    def small_ideals(j, small):
+        # every set of _SMALL boxes closed under left and upper neighbours
+        if j == n:
+            yield small
+            return
+        p = order[j]
+        if (left[p] == n or left[p] in small) and (up[p] == n or up[p] in small):
+            yield from small_ideals(j + 1, small | {p})
+        yield from small_ideals(j + 1, small)
+
+    for small in small_ideals(0, frozenset()):
+        depth = [0] * (n + 1)
+        for p in order:
+            if p in small:
+                depth[p] = depth[up_left[p]] + 1
+        for p in small:
+            state[p] = _SMALL  # it may hold a state from an earlier ideal
+            codes[p] = 2 * depth[p] - (depth[down[p]] == depth[p])
+        k = max(depth) + 2
+        rest = [p for p in order if p not in small]
+        out = codes, k
+        if not rest:
+            yield out
+            continue
+        base = (None, 2 * k - 3, 2 * k - 2, 2 * k - 1, 2 * k, None)
+        yield from fill(0, 2 * k)
 
 
-def _materialize(pattern, boxes, check=False):
-    """A tableau with the given pattern as its k-neighbourhood, with k
-    and the reading word."""
-    entries = {}
-    strip = {}
-    for b in boxes:  # row-major, so the upper-left neighbour is done first
-        if pattern[b] == _SMALL:
-            strip[b] = strip.get((b[0] - 1, b[1] - 1), 0) + 1
-    depth = max(strip.values(), default=0)
-    k = depth + 2
-    big = k
-    word_rows = [[] for _ in range(boxes[-1][0] + 1)]
-    for b in boxes:
-        s = pattern[b]
-        if s == _SMALL:
-            i = strip[b]
-            code = 2 * i - (strip.get((b[0] + 1, b[1])) == i)
-        elif s == _BIG:
-            big += 1
-            code = 2 * big
-        else:
-            # _AM, _A, _BM, _B give k-1, k-1, k, k with marks on _AM, _BM
-            code = 2 * (k - 1) + (s >= _BM) * 2 - (s in (_AM, _BM))
-        entries[b] = code
-        word_rows[b[0]].append(code)
-    word = tuple(c for row in reversed(word_rows) for c in row)
-    return Tableau(entries, check=check), k, word
+def _pattern_of(boxes, codes, k):
+    """The labeling {box: state} that the codes of one pattern stand for."""
+    def state(c):
+        if c > 2 * k:
+            return _BIG
+        return max(_SMALL, c - 2 * k + 4)
+    return {b: state(c) for b, c in zip(boxes, codes)}
 
 
 @_timed
 def suite_checklist(max_boxes=7, exhaustive_boxes=4):
     """The box-counting test matches the word scan on every tableau."""
     report = Report("checklist")
+    checked = 0
     for lam, mu in basic_pairs_by_boxes(max_boxes):
-        boxes = [(x, y) for x, (lo, hi) in enumerate(basic_rows(lam, mu), 1)
-                 for y in range(lo, hi + 1)]
-        for pattern in _neighbourhood_patterns(basic_rows(lam, mu)):
-            report.checked += 1
-            t, k, word = _materialize(pattern, boxes,
-                                      check=report.checked % 97 == 0)
+        rows = basic_rows(lam, mu)
+        boxes = _reading_boxes(rows)
+        for codes, k in _neighbourhood_patterns(rows):
+            checked += 1
+            t = Tableau(zip(boxes, codes), check=checked % 97 == 0)
+            word = tuple(codes)
             if is_k_amenable_checklist(t, k) != is_k_amenable_word(word, k):
+                pattern = _pattern_of(boxes, codes, k)
                 report.failures.append((lam, mu, sorted(pattern.items()), k))
     for lam, mu in basic_pairs_by_boxes(exhaustive_boxes):
         for t in enumerate_tableaux(lam, mu):
             word = reading_word(t)
             for k in range(2, sum(lam) - sum(mu) + 2):
-                report.checked += 1
+                checked += 1
                 if is_k_amenable_checklist(t, k) != is_k_amenable_word(word, k):
                     report.failures.append((lam, mu, word, k))
+    report.checked = checked
     return report
 
 

@@ -1,7 +1,9 @@
 """Slow reference implementations, used only as test oracles.
 
 Letters are (value, marked) pairs and every rule is checked by rescanning
-whole rows and columns, so nothing here shares code with the package.
+whole rows and columns, so nothing here shares code with the package.  The
+exception is the last section: verbatim copies of package code that a
+faster version replaced, kept to pin the new code against the old.
 """
 
 
@@ -147,3 +149,96 @@ def decompose(lam, mu=()):
 
 def count_bounded(lam, mu, max_value):
     return sum(1 for _ in fillings(boxes_of(lam, mu), max_value))
+
+
+# Copies of the dict-based neighbourhood patterns and materializer that
+# verify.suite_checklist used, and of the components()-based fitting test
+# that is_k_amenable_checklist used, before both were rewritten.
+
+from schurq.partitions import strip_last_box  # noqa: E402
+from schurq.tableaux import Tableau, letter, letter_value  # noqa: E402
+
+_SMALL, _AM, _A, _BM, _B, _BIG = range(6)
+
+
+def neighbourhood_patterns(rows):
+    """All six-state box labelings that some tableau induces at some k.
+
+    Yields one live dict, mutated between yields: consume it immediately.
+    """
+    boxes = [(x, y) for x, (lo, hi) in enumerate(rows, 1)
+             for y in range(lo, hi + 1)]
+    state = {}
+    marked_rows = {_AM: set(), _BM: set()}
+    plain_cols = {_A: set(), _B: set()}
+
+    def fill(i):
+        if i == len(boxes):
+            yield state
+            return
+        x, y = boxes[i]
+        floor = max(state.get((x, y - 1), 0), state.get((x - 1, y), 0))
+        for s in range(floor, _BIG + 1):
+            if s in marked_rows and x in marked_rows[s]:
+                continue
+            if s in plain_cols and y in plain_cols[s]:
+                continue
+            state[(x, y)] = s
+            if s in marked_rows:
+                marked_rows[s].add(x)
+            if s in plain_cols:
+                plain_cols[s].add(y)
+            yield from fill(i + 1)
+            if s in marked_rows:
+                marked_rows[s].discard(x)
+            if s in plain_cols:
+                plain_cols[s].discard(y)
+        state.pop((x, y), None)
+
+    yield from fill(0)
+
+
+def materialize(pattern, boxes, check=False):
+    """A tableau with the given pattern as its k-neighbourhood, with k
+    and the reading word."""
+    entries = {}
+    strip = {}
+    for b in boxes:  # row-major, so the upper-left neighbour is done first
+        if pattern[b] == _SMALL:
+            strip[b] = strip.get((b[0] - 1, b[1] - 1), 0) + 1
+    depth = max(strip.values(), default=0)
+    k = depth + 2
+    big = k
+    word_rows = [[] for _ in range(boxes[-1][0] + 1)]
+    for b in boxes:
+        s = pattern[b]
+        if s == _SMALL:
+            i = strip[b]
+            code = 2 * i - (strip.get((b[0] + 1, b[1])) == i)
+        elif s == _BIG:
+            big += 1
+            code = 2 * big
+        else:
+            # _AM, _A, _BM, _B give k-1, k-1, k, k with marks on _AM, _BM
+            code = 2 * (k - 1) + (s >= _BM) * 2 - (s in (_AM, _BM))
+        entries[b] = code
+        word_rows[b[0]].append(code)
+    word = tuple(c for row in reversed(word_rows) for c in row)
+    return Tableau(entries, check=check), k, word
+
+
+def tvalue_boxes(t, i):
+    """T^(i): the boxes whose letter has absolute value i."""
+    return frozenset(b for b, c in t.entries.items() if letter_value(c) == i)
+
+
+def fitting(t, i):
+    """Whether the last box of T^(i) holds an unmarked i.
+
+    The last box of a broken border strip is the last box of its leftmost
+    component.  An empty T^(i) is vacuously fitting.
+    """
+    boxes = tvalue_boxes(t, i)
+    if not boxes:
+        return True
+    return t.entries[strip_last_box(boxes)] == letter(i)

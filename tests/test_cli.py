@@ -129,6 +129,24 @@ def test_verify_suite(capsys):
     assert "0 failures" in out
 
 
+def test_verify_theorem_prints_case_counts(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "theorem")
+    assert code == 0
+    assert out.startswith("suite theorem: 393 checked, 0 failures")
+    assert out.splitlines()[1] == "  cases: i 126, ii 26, iii 4, iv 24, v 36, vi 36"
+
+
+def test_huge_shape_exits_2_without_traceback(capsys, monkeypatch):
+    from schurq import _kernel_py, coefficients
+
+    monkeypatch.setattr(coefficients, "kernel", _kernel_py)
+    code, out, err = run(capsys, "decompose", "--lambda", "1200")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "1200 boxes" in err
+
+
 def test_sweep_text(capsys):
     code, out, err = run(capsys, "sweep", "--max-size", "5")
     assert code == 0
